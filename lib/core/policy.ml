@@ -90,11 +90,20 @@ type base_key = {
    into one aggregate roulette slot so low-benefit edges — which the
    annealing walk demonstrably needs — keep their probability mass, and a
    tail edge is analysed exactly only in the rare step that actually draws
-   it. *)
-type weighted = {
-  w_exact : (Action.t * Etir.t * Costmodel.Delta.components * float) list;
-  w_tail : (Action.t * Etir.t * float) list;
-}
+   it.
+
+   Entries hold actions and weights only, never successor states: a chain
+   takes one edge per step, so [draw] re-derives just that successor
+   ([materialise]).  Retaining all ~25 successors and their component
+   records per entry made the cache the bulk of the promoted heap.  The
+   weights sit in an unboxed float array beside the actions, half the
+   words of a list of pairs. *)
+type edges = { actions : Action.t array; weights : float array }
+type weighted = { w_exact : edges; w_tail : edges }
+
+let edges pairs =
+  { actions = Array.of_list (List.map fst pairs);
+    weights = Array.of_list (List.map snd pairs) }
 
 let base_memo : (base_key, weighted) Parallel.Memo.t =
   Parallel.Memo.create ~name:"transitions" ~capacity:8192
@@ -147,14 +156,15 @@ let base_weighted ?comps ~hw ~mode etir =
           Costmodel.Predict.observe Costmodel.Predict.Edge
             (Costmodel.Feature.vector ~comps:before_comps ~state:next)
             (Costmodel.Predict.label_of_benefit benefit);
-        if benefit <= 0.0 then None
-        else Some (action, next, next_comps, benefit)
+        if benefit <= 0.0 then None else Some (action, benefit)
       in
       let legal =
         List.filter (fun (action, _) -> allowed mode action)
           (Action.successors etir)
       in
-      let all_exact () = { w_exact = List.filter_map exact legal; w_tail = [] } in
+      let all_exact () =
+        { w_exact = edges (List.filter_map exact legal); w_tail = edges [] }
+      in
       match Costmodel.Predict.active () with
       | None -> all_exact ()
       | Some act when not act.Costmodel.Predict.a_walk -> all_exact ()
@@ -211,14 +221,14 @@ let base_weighted ?comps ~hw ~mode etir =
                edge whose true benefit is non-positive). *)
             let tail =
               List.filter_map
-                (fun ((pred, (action, next)) as s) ->
+                (fun ((pred, (action, _)) as s) ->
                   if in_top s then None
                   else
                     let w = Float.expm1 pred in
                     let w =
                       if Float.is_finite w then Float.max 0.02 w else 0.02
                     in
-                    Some (action, next, w))
+                    Some (action, w))
                 scored
             in
             Costmodel.Predict.count_hits (List.length chosen);
@@ -227,40 +237,56 @@ let base_weighted ?comps ~hw ~mode etir =
             | [] when List.length chosen < n ->
               Costmodel.Predict.count_fallback ();
               all_exact ()
-            | w_exact -> { w_exact; w_tail = tail }
+            | w_exact -> { w_exact = edges w_exact; w_tail = edges tail }
           end)
+
+(* The component record of the before state: the caller's when it carries
+   one, otherwise rebuilt (once, and only if an edge is materialised). *)
+let before_comps ?comps ~hw etir =
+  match comps with
+  | Some c -> lazy c
+  | None -> lazy (Costmodel.Delta.of_etir ~hw etir)
+
+(* The successor state and component record behind a memoized edge.  The
+   entry was built from [Action.successors] of an [eval_equal] state at the
+   same cursor, so the action is legal here and yields the same successor —
+   over the caller's own compute. *)
+let materialise ~hw etir before action =
+  match Action.apply etir action with
+  | None -> invalid_arg "Policy: memoized action no longer applies"
+  | Some next ->
+    ( next,
+      Costmodel.Delta.child ~hw ~before:etir ~parent:(Lazy.force before)
+        ~action next )
 
 (* Exact analysis of one deferred tail edge — the lazy path taken when the
    aggregate tail slot wins the roulette, and by [transitions] (the analysis
    entry point), which always materialises the exact distribution. *)
-let expand_tail_edge ?comps ~hw etir =
-  let before_comps =
-    match comps with
-    | Some c -> c
-    | None -> Costmodel.Delta.of_etir ~hw etir
+let expand_tail_edge ~hw etir before action =
+  let next, next_comps = materialise ~hw etir before action in
+  let ctx = Benefit.context_of ~hw etir (Lazy.force before) in
+  let benefit =
+    Benefit.of_action_comps ctx ~after:next ~after_comps:next_comps action
   in
-  let ctx = Benefit.context_of ~hw etir before_comps in
-  fun (action, next, _pred) ->
-    let next_comps =
-      Costmodel.Delta.child ~hw ~before:etir ~parent:before_comps ~action next
-    in
-    let benefit =
-      Benefit.of_action_comps ctx ~after:next ~after_comps:next_comps action
-    in
-    if benefit <= 0.0 then None else Some (action, next, next_comps, benefit)
+  if benefit <= 0.0 then None else Some (action, next, next_comps, benefit)
 
 (* All legal, positively-weighted transitions with normalised
    probabilities.  The normalisation leaves room for [stay_probability].
-   This is the analysis-facing entry point (value iteration, tests): any
-   predictor tail is expanded exactly here, so the returned distribution is
-   always the exact one. *)
+   This is the analysis-facing entry point (value iteration, tests): every
+   successor is materialised and any predictor tail is expanded exactly
+   here, so the returned distribution is always the exact one. *)
 let transitions ?comps ~hw ~mode ~iteration etir =
   let base = base_weighted ?comps ~hw ~mode etir in
+  let before = before_comps ?comps ~hw etir in
   let exact =
-    match base.w_tail with
-    | [] -> base.w_exact
-    | tail ->
-      base.w_exact @ List.filter_map (expand_tail_edge ?comps ~hw etir) tail
+    List.mapi
+      (fun i action ->
+        let next, next_comps = materialise ~hw etir before action in
+        (action, next, next_comps, base.w_exact.weights.(i)))
+      (Array.to_list base.w_exact.actions)
+    @ List.filter_map
+        (expand_tail_edge ~hw etir before)
+        (Array.to_list base.w_tail.actions)
   in
   let weighted =
     List.map
@@ -293,27 +319,25 @@ let transitions ?comps ~hw ~mode ~iteration etir =
    weight array, so the draw — and hence the whole chain — is bit-identical
    to [select rng (transitions ...)]. *)
 let draw rng ?comps ~hw ~mode ~iteration etir =
-  match base_weighted ?comps ~hw ~mode etir with
-  | { w_exact = []; w_tail = [] } -> None
-  | { w_exact = base; w_tail } ->
-    let items = Array.of_list base in
-    let n = Array.length items in
+  let { w_exact; w_tail } = base_weighted ?comps ~hw ~mode etir in
+  let n = Array.length w_exact.actions in
+  if n = 0 && Array.length w_tail.actions = 0 then None
+  else begin
+    let before = before_comps ?comps ~hw etir in
     (* With a predictor tail the roulette gets one extra aggregate slot
        carrying the tail's total predicted mass, just before the stay slot.
        When that slot wins, a second roulette picks the edge within the
        tail by predicted weight and only that one edge is analysed exactly
        (its benefit may come back non-positive, in which case the exact
        policy would never take it and the step degrades to a stay). *)
-    let tail = Array.of_list w_tail in
+    let tail = w_tail.weights in
     let t = if Array.length tail > 0 then 1 else 0 in
-    let tail_mass =
-      Array.fold_left (fun acc (_, _, p) -> acc +. p) 0.0 tail
-    in
+    let tail_mass = Array.fold_left ( +. ) 0.0 tail in
     let w = Array.make (n + t + 1) stay_probability in
     for i = 0 to n - 1 do
-      let action, _, _, benefit = items.(i) in
+      let benefit = w_exact.weights.(i) in
       w.(i) <-
-        (match action with
+        (match w_exact.actions.(i) with
         | Action.Cache ->
           benefit
           *. cache_multiplier ~midpoint:mode.cache_midpoint ~iteration ()
@@ -332,24 +356,23 @@ let draw rng ?comps ~hw ~mode ~iteration etir =
       done;
       let idx = Rng.roulette rng w in
       if idx < n then begin
-        let action, next, next_comps, _ = items.(idx) in
+        let action = w_exact.actions.(idx) in
+        let next, next_comps = materialise ~hw etir before action in
         Some { action; next; next_comps; probability = w.(idx) }
       end
       else if t = 1 && idx = n then begin
         Costmodel.Predict.count_tail ();
-        let tidx =
-          Rng.roulette rng (Array.map (fun (_, _, p) -> p) tail)
-        in
-        match expand_tail_edge ?comps ~hw etir tail.(tidx) with
+        let tidx = Rng.roulette rng tail in
+        match expand_tail_edge ~hw etir before w_tail.actions.(tidx) with
         | None -> None
         | Some (action, next, next_comps, _) ->
-          let _, _, pred = tail.(tidx) in
           Some
             { action; next; next_comps;
-              probability = w.(n) *. pred /. tail_mass }
+              probability = w.(n) *. tail.(tidx) /. tail_mass }
       end
       else None
     end
+  end
 
 (* Roulette selection over the transition distribution; [None] means the
    chain stays in place this step. *)

@@ -95,9 +95,13 @@ let thread_chunk_flops etir =
   !elems
 
 (* One per-level slot: the input footprint is computed once and shared
-   between the footprint and traffic terms (it dominates both). *)
+   between the footprint and traffic terms (it dominates both).  It is
+   evaluated from the footprint plan directly, not through the footprint
+   memo: component records already carry every level that did not move, so
+   the levels refilled here are new to the chain and a lookup would nearly
+   always miss (DESIGN.md §8). *)
 let fill_level etir ~level ~traffic ~footprint =
-  let input = Footprint.input_bytes etir ~level in
+  let input = Footprint.input_bytes_of_plan etir ~level in
   footprint.(level) <-
     (if level = 1 then input else input + Footprint.output_bytes etir ~level);
   traffic.(level) <- Traffic.bytes_into_given etir ~level ~input_bytes:input

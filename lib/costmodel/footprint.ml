@@ -7,34 +7,29 @@
 
 open Tensor_lang
 
-let dtype_of_input (compute : Compute.t) tensor =
-  match
-    List.find_opt
-      (fun input -> input.Compute.in_name = tensor)
-      (Compute.inputs compute)
-  with
-  | Some input -> input.Compute.in_dtype
-  | None ->
-    invalid_arg (Fmt.str "Footprint: access to unknown tensor %s" tensor)
-
 (* Per-input footprint of one representative level-[level] tile, in
    elements.  Epilogue operands (bias vectors, residual tensors) are staged
    like body operands; the accumulator read is excluded by
-   [Compute.epilogue_accesses]. *)
+   [Compute.epilogue_accesses].  The interval analysis runs over the
+   compute's footprint plan (built once per compute, see
+   Tensor_lang.Footprint_plan) and the level's effective tiles. *)
 let input_elems etir ~level =
-  let compute = Sched.Etir.compute etir in
-  let env = Sched.Etir.tile_env etir ~level in
-  List.map
-    (fun access ->
-      (Access.tensor access, Access.footprint_elems ~env access))
-    (Expr.accesses (Compute.body compute) @ Compute.epilogue_accesses compute)
+  Footprint_plan.input_elems
+    (Sched.Etir.footprint_plan etir)
+    (Sched.Etir.eff_tiles etir ~level)
 
-(* The interval analysis is the single hottest computation in construction:
-   every transition benefit needs the footprint of both endpoints at one or
-   more levels, and the annealer revisits states constantly.  The result is
-   a pure function of the (state, level) pair, so it is memoized process-
-   wide, keyed by the state's structural fingerprint (collision-checked
-   with Etir.eval_equal — see lib/parallel/memo.ml). *)
+let input_bytes_of_plan etir ~level =
+  Footprint_plan.input_bytes
+    (Sched.Etir.footprint_plan etir)
+    (Sched.Etir.eff_tiles etir ~level)
+
+(* One-shot analyses (verify, codegen, Mem_check, Roller, the eager benefit
+   path) ask for the same (state, level) footprints repeatedly, so their
+   entry point is memoized process-wide, keyed by the state's structural
+   fingerprint (collision-checked with Etir.eval_equal — see
+   lib/parallel/memo.ml).  The incremental engine (Delta) carries
+   footprints edge to edge and evaluates the plan directly instead: its
+   lookups would nearly all miss. *)
 let input_bytes_memo : (Sched.Etir.t * int, int) Parallel.Memo.t =
   Parallel.Memo.create ~name:"footprint"
     ~hash:(fun (etir, level) ->
@@ -45,12 +40,7 @@ let input_bytes_memo : (Sched.Etir.t * int, int) Parallel.Memo.t =
 
 let input_bytes etir ~level =
   Parallel.Memo.find_or_add input_bytes_memo (etir, level) (fun () ->
-      let compute = Sched.Etir.compute etir in
-      List.fold_left
-        (fun acc (tensor, elems) ->
-          acc + (elems * Dtype.size_bytes (dtype_of_input compute tensor)))
-        0
-        (input_elems etir ~level))
+      input_bytes_of_plan etir ~level)
 
 (* Output-accumulator footprint of a level-[level] tile: the spatial tile's
    elements in the output dtype. *)

@@ -6,7 +6,14 @@
 (** Per-input-access footprint of a representative level tile, in elements. *)
 val input_elems : Sched.Etir.t -> level:int -> (string * int) list
 
+(** Input bytes of a representative level tile, memoized process-wide
+    (the ["footprint"] cache) for one-shot analyses. *)
 val input_bytes : Sched.Etir.t -> level:int -> int
+
+(** [input_bytes] evaluated straight from the footprint plan, bypassing the
+    memo — for the incremental engine, which carries footprints edge to
+    edge and would nearly always miss. *)
+val input_bytes_of_plan : Sched.Etir.t -> level:int -> int
 
 (** Output-accumulator bytes of the level's spatial tile. *)
 val output_bytes : Sched.Etir.t -> level:int -> int

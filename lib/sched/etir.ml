@@ -26,6 +26,8 @@ type t = {
   mutable fp : int64;         (* memoized fingerprint; 0 = not yet computed *)
   sext : int array;           (* cached spatial axis extents (from compute) *)
   rext : int array;           (* cached reduce axis extents (from compute) *)
+  cfp : int64;                (* cached Compute.fingerprint of [compute] *)
+  plan : Footprint_plan.t;    (* cached footprint plan of [compute] *)
 }
 
 let compute t = t.compute
@@ -70,6 +72,9 @@ let extents_of compute =
   ( Array.of_list (List.map Axis.extent (Compute.spatial_axes compute)),
     Array.of_list (List.map Axis.extent (Compute.reduce_axes compute)) )
 
+(* The compute's structural identity and footprint plan are likewise
+   derived once per compute, at [create] and [retarget], and shared by
+   every state of the construction graph. *)
 let create ?(num_levels = 2) compute =
   if num_levels < 1 then invalid_arg "Etir.create: num_levels < 1";
   let n_spatial = List.length (Compute.spatial_axes compute) in
@@ -79,7 +84,11 @@ let create ?(num_levels = 2) compute =
     stiles = Array.make_matrix (num_levels + 1) n_spatial 1;
     rtiles = Array.make_matrix (num_levels + 1) (max n_reduce 1) 1;
     vthreads = Array.make n_spatial 1;
-    fp = 0L; sext; rext }
+    fp = 0L; sext; rext;
+    cfp = Compute.fingerprint compute;
+    plan = Footprint_plan.v compute }
+
+let footprint_plan t = t.plan
 
 (* Structural invariants; used by tests and re-checked after every action. *)
 let validate t =
@@ -175,37 +184,17 @@ let reduce_steps_at t ~level =
     rext;
   !acc
 
-(* Interval environment of one representative level-[l] tile placed at the
-   origin: spatial axis i spans its level-l tile, reduce axis j spans its
-   level-l reduce tile.  Affine accesses make footprints shift-invariant, so
-   the origin tile is representative. *)
-let tile_env t ~level name =
-  let find_spatial () =
-    let axes = spatial_axes t in
-    let rec go i =
-      if i = Array.length axes then None
-      else if Axis.name axes.(i) = name then
-        Some (Interval.v 0 (stile_eff t ~level ~dim:i - 1))
-      else go (i + 1)
-    in
-    go 0
-  in
-  let find_reduce () =
-    let axes = reduce_axes t in
-    let rec go j =
-      if j = Array.length axes then None
-      else if Axis.name axes.(j) = name then
-        Some (Interval.v 0 (rtile_eff t ~level ~dim:j - 1))
-      else go (j + 1)
-    in
-    go 0
-  in
-  match find_spatial () with
-  | Some iv -> iv
-  | None -> (
-    match find_reduce () with
-    | Some iv -> iv
-    | None -> invalid_arg (Fmt.str "Etir.tile_env: unknown axis %s" name))
+(* Effective tiles of one representative level-[l] tile, indexed by
+   footprint-plan slot: the spatial axes' tiles, then the reduce axes'.
+   Affine accesses make footprints shift-invariant, so the tile placed at
+   the origin is representative. *)
+let eff_tiles t ~level =
+  let ns = Array.length t.sext in
+  Array.init
+    (ns + Array.length t.rext)
+    (fun slot ->
+      if slot < ns then stile_eff t ~level ~dim:slot
+      else rtile_eff t ~level ~dim:(slot - ns))
 
 let with_cur_level t cur_level =
   if cur_level < 0 || cur_level > t.num_levels then
@@ -245,15 +234,18 @@ let retarget t compute' =
     else Array.map (clamp_row rext) t.rtiles
   in
   let vthreads = Array.mapi (fun i v -> min v stiles.(0).(i)) t.vthreads in
-  { t with compute = compute'; stiles; rtiles; vthreads; fp = 0L; sext; rext }
+  { t with compute = compute'; stiles; rtiles; vthreads; fp = 0L; sext; rext;
+    cfp = Compute.fingerprint compute'; plan = Footprint_plan.v compute' }
 
-(* 64-bit structural hash over everything the cost model reads: compute
-   identity and extents, level count, every tile and the vthread vector.
-   [cur_level] is deliberately excluded — it is a construction cursor, not
-   part of the tensor program, so states differing only in it evaluate
-   identically and should share memo entries and dedup slots.  The hash is
-   memoized in the state (all update paths reset it), making repeated cache
-   probes on the same state nearly free. *)
+(* 64-bit structural hash over everything the cost model reads: the
+   compute's full structural fingerprint (which covers its extents, index
+   expressions and epilogue, so same-named operators that differ only in a
+   stride never share a key), level count, every tile and the vthread
+   vector.  [cur_level] is deliberately excluded — it is a construction
+   cursor, not part of the tensor program, so states differing only in it
+   evaluate identically and should share memo entries and dedup slots.  The
+   hash is memoized in the state (all update paths reset it), making
+   repeated cache probes on the same state nearly free. *)
 let mix64 h v =
   let open Int64 in
   let z = add (logxor h (mul v 0x9E3779B97F4A7C15L)) 0x9E3779B97F4A7C15L in
@@ -264,11 +256,9 @@ let mix64 h v =
 let fingerprint t =
   if t.fp <> 0L then t.fp
   else begin
-    let h = ref (Int64.of_int (Hashtbl.hash (Compute.name t.compute))) in
+    let h = ref t.cfp in
     let add v = h := mix64 !h (Int64.of_int v) in
     add t.num_levels;
-    Array.iter add (spatial_extents t);
-    Array.iter add (reduce_extents t);
     Array.iter (Array.iter add) t.stiles;
     Array.iter (Array.iter add) t.rtiles;
     Array.iter add t.vthreads;
@@ -278,17 +268,16 @@ let fingerprint t =
   end
 
 (* Exact evaluation identity backing the fingerprint: memo caches re-check
-   this on every probe so a hash collision can only cost a recompute. *)
+   this on every probe so a hash collision can only cost a recompute.  Two
+   distinct compute values with one structural fingerprint are compared
+   structurally, so even a fingerprint collision cannot alias them. *)
 let eval_equal a b =
   a == b
   || (fingerprint a = fingerprint b
      && a.num_levels = b.num_levels
-     && (a.compute == b.compute
-        || (Compute.name a.compute = Compute.name b.compute
-           && spatial_extents a = spatial_extents b
-           && reduce_extents a = reduce_extents b))
      && a.stiles = b.stiles && a.rtiles = b.rtiles
-     && a.vthreads = b.vthreads)
+     && a.vthreads = b.vthreads
+     && (a.compute == b.compute || (a.cfp = b.cfp && a.compute = b.compute)))
 
 (* Compact canonical descriptor; used as a state key by the construction
    graph and for deduplicating top results. *)

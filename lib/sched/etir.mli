@@ -66,10 +66,14 @@ val spatial_tiles_at : t -> level:int -> int
 (** Reduction steps performed per level-[l] tile. *)
 val reduce_steps_at : t -> level:int -> int
 
-(** [tile_env t ~level] is the interval environment of a representative
-    level-[l] tile for footprint analysis.  Raises [Invalid_argument] on an
-    unknown axis name. *)
-val tile_env : t -> level:int -> string -> Interval.t
+(** [eff_tiles t ~level] is the effective tile of every axis at [level],
+    indexed by {!Tensor_lang.Footprint_plan} slot (spatial axes, then reduce
+    axes): the tile environment of a representative level-[l] tile. *)
+val eff_tiles : t -> level:int -> int array
+
+(** The footprint plan of the state's compute, built once per compute at
+    {!create} / {!retarget} and shared by every derived state. *)
+val footprint_plan : t -> Tensor_lang.Footprint_plan.t
 
 (** Functional updates (no legality checks beyond array bounds; use
     {!Action.apply} for checked transitions). *)
@@ -88,15 +92,18 @@ val retarget : t -> Tensor_lang.Compute.t -> t
 (** Canonical state key for graph memoisation and deduplication. *)
 val signature : t -> string
 
-(** 64-bit structural hash of the evaluation-relevant state: compute
-    identity and extents, level count, all tiles and vthreads.  Excludes
+(** 64-bit structural hash of the evaluation-relevant state: the compute's
+    structural {!Tensor_lang.Compute.fingerprint} (cached per compute, so
+    same-named operators differing only in a stride or padding get distinct
+    keys), level count, all tiles and vthreads.  Excludes
     [cur_level] (a construction cursor): states differing only in it
     produce identical metrics, so they share cost-model memo entries and
     dedup slots.  Memoized per state; never 0. *)
 val fingerprint : t -> int64
 
 (** Exact equality on the fingerprinted structure (still ignoring
-    [cur_level]).  Memo caches use this to collision-check probes. *)
+    [cur_level]): equal tiles, vthreads and level count over structurally
+    equal computes.  Memo caches use this to collision-check probes. *)
 val eval_equal : t -> t -> bool
 
 val equal : t -> t -> bool

@@ -129,6 +129,51 @@ let test_policy_modes () =
           ~mode:{ Gensor.Policy.graph_mode with Gensor.Policy.tree_mode = true }
           ~iteration:0 grown))
 
+(* A transitions memo entry holds actions and weights only; [draw]
+   re-derives the drawn successor.  On a hit from a rebuilt (eval-equal but
+   physically distinct) state, the drawn successor and its component record
+   must be exactly what applying the action to that state and analysing it
+   from scratch give — over the caller's own compute. *)
+let test_policy_draw_materialises_on_hit () =
+  let tiled () =
+    let e = Etir.create (gemm ()) in
+    let e = Etir.with_stile e ~level:2 ~dim:0 16 in
+    Etir.with_stile e ~level:0 ~dim:1 4
+  in
+  let hits () =
+    match List.assoc_opt "transitions" (Parallel.Memo.all_stats ()) with
+    | Some st -> st.Parallel.Memo.hits
+    | None -> Alcotest.fail "transitions memo not registered"
+  in
+  Parallel.Memo.clear_all ();
+  let mode = Gensor.Policy.graph_mode in
+  let seeded = tiled () in
+  ignore
+    (Gensor.Policy.draw (Rng.create ~seed:0) ~hw ~mode ~iteration:0 seeded);
+  let drawn = ref 0 in
+  for seed = 1 to 64 do
+    let e = tiled () in
+    let comps = if seed mod 2 = 0 then Some (Costmodel.Delta.of_etir ~hw e) else None in
+    let before = hits () in
+    (match
+       Gensor.Policy.draw (Rng.create ~seed) ?comps ~hw ~mode
+         ~iteration:(seed mod 40) e
+     with
+    | None -> ()
+    | Some c ->
+      incr drawn;
+      let expected = Option.get (Action.apply e c.Gensor.Policy.action) in
+      check_bool "successor = Action.apply" true
+        (Etir.equal c.Gensor.Policy.next expected
+        && Etir.eval_equal c.Gensor.Policy.next expected);
+      check_bool "successor over the caller's compute" true
+        (Etir.compute c.Gensor.Policy.next == Etir.compute e);
+      check_bool "components = Delta.of_etir" true
+        (c.Gensor.Policy.next_comps = Costmodel.Delta.of_etir ~hw expected));
+    check_bool "served from the memo" true (hits () > before)
+  done;
+  check_bool "some steps moved" true (!drawn > 0)
+
 (* ---------- Anneal ---------- *)
 
 let test_anneal_runs_to_threshold () =
@@ -495,7 +540,9 @@ let () =
            test_policy_distribution;
          Alcotest.test_case "cache multiplier monotone" `Quick
            test_policy_cache_multiplier_monotone;
-         Alcotest.test_case "ablation modes" `Quick test_policy_modes ]);
+         Alcotest.test_case "ablation modes" `Quick test_policy_modes;
+         Alcotest.test_case "draw materialises on a memo hit" `Quick
+           test_policy_draw_materialises_on_hit ]);
       ("anneal",
        [ Alcotest.test_case "runs to threshold" `Quick
            test_anneal_runs_to_threshold;

@@ -70,6 +70,162 @@ let prop_footprint_monotone =
         Costmodel.Footprint.bytes_at grown ~level
         >= Costmodel.Footprint.bytes_at !e ~level)
 
+(* ---------- Footprint plan vs interval oracle ---------- *)
+
+(* The name-lookup interval analysis the footprint plan replaced, kept as
+   its oracle: each loop variable is found by name among the spatial, then
+   the reduce axes and spans its effective tile at [level]; each access's
+   footprint is [Access.footprint_elems] under that environment, and its
+   bytes use the dtype of the input it reads. *)
+let tile_env etir ~level name =
+  let open Tensor_lang in
+  let find axes eff =
+    let rec go i = function
+      | [] -> None
+      | ax :: rest ->
+        if Axis.name ax = name then Some (Interval.v 0 (eff i - 1))
+        else go (i + 1) rest
+    in
+    go 0 axes
+  in
+  let compute = Etir.compute etir in
+  match
+    find (Compute.spatial_axes compute) (fun dim ->
+        Etir.stile_eff etir ~level ~dim)
+  with
+  | Some iv -> iv
+  | None -> (
+    match
+      find (Compute.reduce_axes compute) (fun dim ->
+          Etir.rtile_eff etir ~level ~dim)
+    with
+    | Some iv -> iv
+    | None -> invalid_arg ("tile_env: unknown axis " ^ name))
+
+let oracle_input_elems etir ~level =
+  let open Tensor_lang in
+  let compute = Etir.compute etir in
+  let env = tile_env etir ~level in
+  List.map
+    (fun access -> (Access.tensor access, Access.footprint_elems ~env access))
+    (Expr.accesses (Compute.body compute) @ Compute.epilogue_accesses compute)
+
+let oracle_input_bytes etir ~level =
+  let open Tensor_lang in
+  let compute = Etir.compute etir in
+  List.fold_left
+    (fun acc (tensor, elems) ->
+      let input =
+        List.find (fun i -> i.Compute.in_name = tensor) (Compute.inputs compute)
+      in
+      acc + (elems * Dtype.size_bytes input.Compute.in_dtype))
+    0
+    (oracle_input_elems etir ~level)
+
+let fused anchor ~fed_input consumer =
+  match Ops.Op.fuse_epilogue anchor ~fed_input consumer with
+  | Ok (op, _) -> op
+  | Error (code, msg) -> Alcotest.failf "fixture refused: %s %s" code msg
+
+(* Indices outside the affine fast path: division, modulo, min/max, a
+   product of two variables and a variable subtracted from itself, over a
+   mixed-dtype operand set. *)
+let nonaffine_op () =
+  let open Tensor_lang in
+  let v = Index.var in
+  let compute =
+    Compute.v ~name:"nonaffine"
+      ~axes:[ Axis.spatial "x" 12; Axis.spatial "y" 6; Axis.reduce "k" 5 ]
+      ~inputs:
+        [ { Compute.in_name = "A"; in_shape = [ 12; 6 ]; in_dtype = Dtype.F16 };
+          { Compute.in_name = "B"; in_shape = [ 100; 11 ]; in_dtype = Dtype.F32 };
+          { Compute.in_name = "C"; in_shape = [ 12; 5 ]; in_dtype = Dtype.I8 } ]
+      ~out_name:"O"
+      ~body:
+        Expr.(
+          add
+            (mul
+               (read "A"
+                  [ Index.div (Index.add (v "x") (v "k")) (Index.const 2);
+                    Index.rem (Index.add (v "y") (v "k")) (Index.const 6) ])
+               (read "B"
+                  [ Index.mul (v "x") (v "k");
+                    Index.add (Index.sub (v "y") (v "y")) (Index.const 5) ]))
+            (read "C"
+               [ Index.max_ (v "x") (Index.const 3);
+                 Index.min_ (v "k") (Index.const 4) ]))
+      ()
+  in
+  Ops.Op.v ~kind:Ops.Op.Elementwise ~compute
+
+let plan_fixtures =
+  let conv ?(name = "conv") ~height ~kernel ~stride ~pad () =
+    Ops.Conv.conv2d ~name ~batch:2 ~in_channels:6 ~out_channels:10 ~height
+      ~width:height ~kernel ~stride ~pad ()
+  in
+  let conv_out = [ 2; 10; 8; 8 ] in
+  List.map (fun e -> e.Workloads.Table_iv.op) Workloads.Table_iv.all
+  @ [ (fun () -> conv ~height:17 ~kernel:3 ~stride:2 ~pad:0 ());
+      (fun () -> conv ~height:15 ~kernel:3 ~stride:2 ~pad:1 ());
+      (fun () -> conv ~height:22 ~kernel:5 ~stride:3 ~pad:2 ());
+      (fun () ->
+        Ops.Conv.depthwise_conv2d ~batch:2 ~channels:12 ~height:15 ~width:15
+          ~kernel:3 ~stride:2 ~pad:1 ());
+      (fun () ->
+        fused
+          (conv ~height:15 ~kernel:3 ~stride:2 ~pad:1 ())
+          ~fed_input:"X"
+          (Ops.Elementwise.bias_add ~shape:conv_out ()));
+      (fun () ->
+        let biased =
+          fused
+            (conv ~height:8 ~kernel:3 ~stride:1 ~pad:1 ())
+            ~fed_input:"X"
+            (Ops.Elementwise.bias_add ~shape:conv_out ())
+        in
+        let residual =
+          fused biased ~fed_input:"X" (Ops.Elementwise.add ~shape:conv_out ())
+        in
+        fused residual ~fed_input:"X" (Ops.Elementwise.relu ~shape:conv_out ()));
+      (fun () ->
+        fused (Ops.Matmul.gemm ~m:48 ~n:40 ~k:24 ()) ~fed_input:"X"
+          (Ops.Elementwise.relu ~shape:[ 48; 40 ] ()));
+      nonaffine_op ]
+
+(* Over random construction walks, the plan-based footprints equal the
+   oracle at every level of every visited state, through both the memoized
+   entry point and the plan evaluation Delta uses. *)
+let prop_plan_equals_interval_oracle =
+  QCheck.Test.make ~count:300 ~name:"footprint plan = interval oracle"
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (int_range 0 (List.length plan_fixtures - 1))
+            (int_range 0 10_000) (int_range 0 60)))
+    (fun (which, seed, steps) ->
+      let rng = Rng.create ~seed in
+      let e = ref (Etir.create (Ops.Op.compute ((List.nth plan_fixtures which) ()))) in
+      let agree etir =
+        List.for_all
+          (fun level ->
+            let bytes = oracle_input_bytes etir ~level in
+            Costmodel.Footprint.input_elems etir ~level
+            = oracle_input_elems etir ~level
+            && Costmodel.Footprint.input_bytes etir ~level = bytes
+            && Costmodel.Footprint.input_bytes_of_plan etir ~level = bytes)
+          (List.init (Etir.num_levels etir + 1) Fun.id)
+      in
+      let ok = ref (agree !e) in
+      for _ = 1 to steps do
+        match Action.successors !e with
+        | [] -> ()
+        | succs ->
+          e := snd (Rng.choice rng succs);
+          if not (agree !e) then ok := false
+      done;
+      !ok)
+
 (* ---------- Traffic ---------- *)
 
 let test_traffic_gemm_formula () =
@@ -518,7 +674,8 @@ let () =
     [ ("footprint",
        [ Alcotest.test_case "gemm slices" `Quick test_footprint_gemm;
          Alcotest.test_case "conv halo" `Quick test_footprint_conv_halo;
-         QCheck_alcotest.to_alcotest prop_footprint_monotone ]);
+         QCheck_alcotest.to_alcotest prop_footprint_monotone;
+         QCheck_alcotest.to_alcotest prop_plan_equals_interval_oracle ]);
       ("traffic",
        [ Alcotest.test_case "gemm formula" `Quick test_traffic_gemm_formula;
          Alcotest.test_case "compulsory floor" `Quick

@@ -319,6 +319,65 @@ let test_fused_beats_unfused () =
     [ Dnn.Resnet.resnet50_graph ~batch:8 ();
       Dnn.Transformer.bert_small_graph ~batch:8 () ]
 
+(* Two same-named convs that differ only in stride, side by side in one
+   graph: same name, same output and reduce extents.  Construction memos
+   keyed on name and extents served one conv's footprints and successor
+   states to the other, so the second kernel came back scheduling the first
+   conv's operator, differently with the memos off, and racily under a
+   wider pool. *)
+let stride_pair_graph () =
+  let conv ~height ~stride =
+    Ops.Conv.conv2d ~name:"conv3x3" ~batch:2 ~in_channels:8 ~out_channels:8
+      ~height ~width:height ~kernel:3 ~stride ~pad:1 ()
+  in
+  let b = Dnn.Graph.builder ~name:"stride-pair" ~batch:2 in
+  ignore (Dnn.Graph.add b "s1" (conv ~height:8 ~stride:1));
+  ignore (Dnn.Graph.add b "s2" (conv ~height:16 ~stride:2));
+  Dnn.Graph.build b
+
+(* Compile the pair from cold caches, recording every Gensor compile as
+   (operator, schedule) in operator order. *)
+let compile_stride_pair ~jobs =
+  Parallel.Memo.clear_all ();
+  let base = Pipeline.Methods.gensor () in
+  let lock = Mutex.create () and seen = ref [] in
+  let recording =
+    { base with
+      Pipeline.Methods.compile =
+        (fun ~hw op ->
+          let out = base.Pipeline.Methods.compile ~hw op in
+          Mutex.protect lock (fun () -> seen := (op, out) :: !seen);
+          out) }
+  in
+  ignore (Dnn.Runner.run_graph ~jobs ~hw recording (stride_pair_graph ()));
+  List.sort compare
+    (List.map
+       (fun (op, (out : Pipeline.Methods.output)) ->
+         ( Artifact.Compute_codec.fingerprint (Ops.Op.compute op),
+           Artifact.Compute_codec.fingerprint (Sched.Etir.compute out.etir),
+           Artifact.Etir_codec.encode out.etir ))
+       !seen)
+
+let test_stride_pair_memo_transparent () =
+  let on = compile_stride_pair ~jobs:1 in
+  check_int "two distinct kernels" 2 (List.length on);
+  let off =
+    Parallel.Memo.set_enabled false;
+    Fun.protect
+      ~finally:(fun () -> Parallel.Memo.set_enabled true)
+      (fun () -> compile_stride_pair ~jobs:1)
+  in
+  if on <> off then
+    Alcotest.fail "schedules differ between memos on and GENSOR_MEMO=0";
+  if compile_stride_pair ~jobs:2 <> on then
+    Alcotest.fail "schedules differ between jobs=1 and jobs=2"
+
+let test_stride_pair_right_operator () =
+  List.iter
+    (fun (node_fp, kernel_fp, _) ->
+      check_string "kernel ETIR computes its node's operator" node_fp kernel_fp)
+    (compile_stride_pair ~jobs:1)
+
 let () =
   Alcotest.run "graph"
     [ ( "builder",
@@ -345,4 +404,8 @@ let () =
         [ Alcotest.test_case "deterministic across jobs" `Quick
             test_run_graph_deterministic;
           Alcotest.test_case "fused beats unfused" `Quick
-            test_fused_beats_unfused ] ) ]
+            test_fused_beats_unfused;
+          Alcotest.test_case "same-named strides: memo and jobs invariant"
+            `Quick test_stride_pair_memo_transparent;
+          Alcotest.test_case "same-named strides: right operator" `Quick
+            test_stride_pair_right_operator ] ) ]

@@ -102,13 +102,15 @@ let test_etir_tile_env () =
   let e = gemm_etir () in
   let e = Etir.with_stile e ~level:1 ~dim:0 16 in
   let e = Etir.with_rtile e ~level:1 ~dim:0 4 in
-  let iv = Etir.tile_env e ~level:1 "i" in
-  check_int "spatial env extent" 16 (Tensor_lang.Interval.extent iv);
-  let ivk = Etir.tile_env e ~level:1 "k" in
-  check_int "reduce env extent" 4 (Tensor_lang.Interval.extent ivk);
-  Alcotest.check_raises "unknown axis rejected"
-    (Invalid_argument "Etir.tile_env: unknown axis q") (fun () ->
-      ignore (Etir.tile_env e ~level:1 "q"))
+  (* Footprint-plan slots: spatial axes (i, j) first, then reduce (k). *)
+  let tiles = Etir.eff_tiles e ~level:1 in
+  check_int "one slot per axis" 3 (Array.length tiles);
+  check_int "spatial env extent" 16 tiles.(0);
+  check_int "untouched spatial axis" 1 tiles.(1);
+  check_int "reduce env extent" 4 tiles.(2);
+  (* Effective, not raw: an inner tile widens the level above it. *)
+  let e = Etir.with_stile e ~level:0 ~dim:1 8 in
+  check_int "effective tile" 8 (Etir.eff_tiles e ~level:1).(1)
 
 let test_etir_retarget () =
   let e = gemm_etir ~m:64 ~n:48 ~k:32 () in
@@ -157,6 +159,38 @@ let test_fingerprint_basic () =
   (* Different extents differ even with identical tiles. *)
   check_bool "extents feed the hash" true
     (Etir.fingerprint (gemm_etir ~m:65 ()) <> fp)
+
+(* Two convolutions with one name and equal extents that differ only in
+   stride: a key made of name and extents confuses them, and every memo
+   keyed on it then serves one conv's footprints and successor states to
+   the other. *)
+let same_named_convs () =
+  let conv ~height ~stride =
+    Ops.Op.compute
+      (Ops.Conv.conv2d ~name:"conv3x3" ~batch:2 ~in_channels:8 ~out_channels:8
+         ~height ~width:height ~kernel:3 ~stride ~pad:1 ())
+  in
+  (conv ~height:8 ~stride:1, conv ~height:16 ~stride:2)
+
+let test_fingerprint_stride () =
+  let c1, c2 = same_named_convs () in
+  let tiled c =
+    let e = Etir.create c in
+    let e = Etir.with_stile e ~level:1 ~dim:2 4 in
+    Etir.with_rtile e ~level:1 ~dim:0 4
+  in
+  let a = tiled c1 and b = tiled c2 in
+  check_bool "same name" true
+    (Tensor_lang.Compute.name c1 = Tensor_lang.Compute.name c2);
+  check_bool "same extents" true
+    (Etir.spatial_extents a = Etir.spatial_extents b
+    && Etir.reduce_extents a = Etir.reduce_extents b);
+  check_bool "stride changes the fingerprint" true
+    (Etir.fingerprint a <> Etir.fingerprint b);
+  check_bool "stride breaks eval_equal" false (Etir.eval_equal a b);
+  (* Structurally equal computes built separately are still one state. *)
+  check_bool "rebuilt compute is eval_equal" true
+    (Etir.eval_equal a (tiled (fst (same_named_convs ()))))
 
 (* Property: along any random action walk, eval_equal and fingerprint stay
    mutually consistent, and only the Cache action preserves them. *)
@@ -286,6 +320,8 @@ let () =
          Alcotest.test_case "retarget" `Quick test_etir_retarget;
          Alcotest.test_case "signatures" `Quick test_etir_signature;
          Alcotest.test_case "fingerprint" `Quick test_fingerprint_basic;
+         Alcotest.test_case "fingerprint separates strides" `Quick
+           test_fingerprint_stride;
          QCheck_alcotest.to_alcotest prop_fingerprint_consistent ]);
       ("action",
        [ Alcotest.test_case "grow caps at extent" `Quick test_action_grow_caps;
