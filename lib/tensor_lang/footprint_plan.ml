@@ -20,62 +20,25 @@
      above it.  Occurrences are kept separate rather than merged, exactly as
      the interval evaluation keeps them ([x - x] spans [2 tile - 1] points).
      Any other index (a product of two variable terms, div, mod, min, max
-     over variables) keeps its slot-resolved tree and is evaluated with the
-     [Interval] operations [Interval.of_index] uses.
+     over variables; no shipped operator has one) is evaluated by
+     [Interval.of_index] itself, looking its variables up by name.
 
    Both forms give exactly the extents of [Interval.of_index] over the
    origin tile environment; test/costmodel checks this against that oracle
    over random schedules. *)
 
-type sindex =
-  | S_var of int
-  | S_const of int
-  | S_add of sindex * sindex
-  | S_sub of sindex * sindex
-  | S_mul of sindex * sindex
-  | S_div of sindex * sindex
-  | S_mod of sindex * sindex
-  | S_min of sindex * sindex
-  | S_max of sindex * sindex
-
 type dim =
   | Linear of { slots : int array; weights : int array }
-  | General of sindex
+  | General of Index.t
 
 type access = { tensor : string; elem_bytes : int; dims : dim array }
-type t = access array
-
-let rec interval tiles = function
-  | S_var s -> Interval.v 0 (tiles.(s) - 1)
-  | S_const n -> Interval.point n
-  | S_add (a, b) -> Interval.add (interval tiles a) (interval tiles b)
-  | S_sub (a, b) -> Interval.sub (interval tiles a) (interval tiles b)
-  | S_mul (a, b) -> Interval.mul (interval tiles a) (interval tiles b)
-  | S_div (a, b) -> Interval.div (interval tiles a) (interval tiles b)
-  | S_mod (a, b) -> Interval.rem (interval tiles a) (interval tiles b)
-  | S_min (a, b) -> Interval.min_ (interval tiles a) (interval tiles b)
-  | S_max (a, b) -> Interval.max_ (interval tiles a) (interval tiles b)
-
-let rec resolve slot_of (idx : Index.t) =
-  let bin k a b = k (resolve slot_of a) (resolve slot_of b) in
-  match idx with
-  | Var name -> S_var (slot_of name)
-  | Const n -> S_const n
-  | Add (a, b) -> bin (fun a b -> S_add (a, b)) a b
-  | Sub (a, b) -> bin (fun a b -> S_sub (a, b)) a b
-  | Mul (a, b) -> bin (fun a b -> S_mul (a, b)) a b
-  | Div (a, b) -> bin (fun a b -> S_div (a, b)) a b
-  | Mod (a, b) -> bin (fun a b -> S_mod (a, b)) a b
-  | Min (a, b) -> bin (fun a b -> S_min (a, b)) a b
-  | Max (a, b) -> bin (fun a b -> S_max (a, b)) a b
+type t = { axes : string array; accesses : access array }
 
 (* A variable-free index is a point under interval evaluation. *)
 let constant_value (idx : Index.t) =
   if Index.vars idx <> [] then None
   else
-    Some
-      (Interval.lo
-         (Interval.of_index ~env:(fun _ -> assert false) idx))
+    Some (Interval.lo (Interval.of_index ~env:(fun _ -> assert false) idx))
 
 (* Weighted variable occurrences of a linear index, or [None]. *)
 let rec linear_terms slot_of (idx : Index.t) =
@@ -106,22 +69,24 @@ let compile_dim slot_of idx =
     Linear
       { slots = Array.of_list (List.map fst terms);
         weights = Array.of_list (List.map snd terms) }
-  | None -> General (resolve slot_of idx)
+  | None ->
+    List.iter (fun name -> ignore (slot_of name)) (Index.vars idx);
+    General idx
+
+let slot_of axes name =
+  let rec go i =
+    if i = Array.length axes then
+      invalid_arg (Fmt.str "Footprint_plan: unknown axis %s" name)
+    else if axes.(i) = name then i
+    else go (i + 1)
+  in
+  go 0
 
 let v compute =
-  let slots =
+  let axes =
     Array.of_list
       (List.map Axis.name (Compute.spatial_axes compute)
       @ List.map Axis.name (Compute.reduce_axes compute))
-  in
-  let slot_of name =
-    let rec go i =
-      if i = Array.length slots then
-        invalid_arg (Fmt.str "Footprint_plan.v: unknown axis %s" name)
-      else if slots.(i) = name then i
-      else go (i + 1)
-    in
-    go 0
   in
   let elem_bytes tensor =
     match
@@ -133,37 +98,45 @@ let v compute =
     | None ->
       invalid_arg (Fmt.str "Footprint_plan.v: access to unknown tensor %s" tensor)
   in
-  Array.of_list
-    (List.map
-       (fun access ->
-         { tensor = Access.tensor access;
-           elem_bytes = elem_bytes (Access.tensor access);
-           dims =
-             Array.of_list (List.map (compile_dim slot_of) (Access.indices access)) })
-       (Expr.accesses (Compute.body compute) @ Compute.epilogue_accesses compute))
+  let compile access =
+    { tensor = Access.tensor access;
+      elem_bytes = elem_bytes (Access.tensor access);
+      dims =
+        Array.of_list
+          (List.map (compile_dim (slot_of axes)) (Access.indices access)) }
+  in
+  { axes;
+    accesses =
+      Array.of_list
+        (List.map compile
+           (Expr.accesses (Compute.body compute)
+           @ Compute.epilogue_accesses compute)) }
 
-let dim_extent tiles = function
+let dim_extent t tiles = function
   | Linear { slots; weights } ->
     let span = ref 0 in
     for k = 0 to Array.length slots - 1 do
       span := !span + (weights.(k) * (tiles.(slots.(k)) - 1))
     done;
     !span + 1
-  | General idx -> Interval.extent (interval tiles idx)
+  | General idx ->
+    let env name = Interval.v 0 (tiles.(slot_of t.axes name) - 1) in
+    Interval.extent (Interval.of_index ~env idx)
 
-let access_elems tiles a =
+let access_elems t tiles a =
   let elems = ref 1 in
   for d = 0 to Array.length a.dims - 1 do
-    elems := !elems * dim_extent tiles a.dims.(d)
+    elems := !elems * dim_extent t tiles a.dims.(d)
   done;
   !elems
 
 let input_elems t tiles =
-  Array.to_list (Array.map (fun a -> (a.tensor, access_elems tiles a)) t)
+  Array.to_list
+    (Array.map (fun a -> (a.tensor, access_elems t tiles a)) t.accesses)
 
 let input_bytes t tiles =
   let bytes = ref 0 in
-  for i = 0 to Array.length t - 1 do
-    bytes := !bytes + (access_elems tiles t.(i) * t.(i).elem_bytes)
-  done;
+  Array.iter
+    (fun a -> bytes := !bytes + (access_elems t tiles a * a.elem_bytes))
+    t.accesses;
   !bytes
