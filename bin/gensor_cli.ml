@@ -844,157 +844,98 @@ let bench_arm ?(warmup = 0) ~name ~jobs ~runs ?states f =
     b_hit_rate = hit_rate; b_prune_rate = None; b_jobs = jobs;
     b_counters = counters }
 
+(* Absent values are explicit nulls, so readers never branch on key
+   presence. *)
 let bench_json rows ~networks ~jobs ~speedup ~speedup_incremental ~predict
     ~exec =
-  let buf = Buffer.create 1024 in
-  let field_opt = function
-    | None -> "null"
-    | Some v -> Fmt.str "%.3f" v
+  let num v = Json.Num v and int n = Json.Num (float_of_int n) in
+  let opt = Option.fold ~none:Json.Null ~some:num in
+  (* Learned-tier arm summary (schema /5). *)
+  let enabled, topk, eps, speedup_predict =
+    match predict with
+    | None -> (false, None, None, None)
+    | Some (topk, eps, sp) -> (true, Some topk, Some eps, sp)
   in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"gensor-bench-compile/6\",\n";
-  Buffer.add_string buf (Fmt.str "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf
-    (Fmt.str "  \"cpus\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string buf
-    (Fmt.str "  \"speedup_gensor_vs_seq\": %.3f,\n" speedup);
-  Buffer.add_string buf
-    (Fmt.str "  \"speedup_incremental_vs_full\": %s,\n"
-       (field_opt speedup_incremental));
-  (* Learned-tier arm summary (schema /5): absent fields are explicit
-     nulls, so readers never branch on key presence. *)
-  (match predict with
-  | None ->
-    Buffer.add_string buf
-      "  \"predict\": { \"enabled\": false, \"topk\": null, \
-       \"quality_eps\": null, \"speedup_predict_vs_exact\": null },\n"
-  | Some (topk, eps, sp) ->
-    Buffer.add_string buf
-      (Fmt.str
-         "  \"predict\": { \"enabled\": true, \"topk\": %.3f, \
-          \"quality_eps\": %.6f, \"speedup_predict_vs_exact\": %s },\n"
-         topk eps (field_opt sp)));
   (* Executor-tier summary (schema /6): throughput of the compiled bytecode
      VM vs the interpreter oracle, in domain points/s, plus their ratio.
      The per-arm exec rows carry the same numbers in [states_per_s]. *)
-  (let compiled_s, interp_s, ratio = exec in
-   Buffer.add_string buf
-     (Fmt.str
-        "  \"exec\": { \"compiled_points_per_s\": %s, \
-         \"interp_points_per_s\": %s, \"speedup_compiled_vs_interp\": %s },\n"
-        (field_opt compiled_s) (field_opt interp_s) (field_opt ratio)));
+  let compiled_s, interp_s, ratio = exec in
   (* network-e2e arm: fused-vs-unfused whole-network latency from the graph
      schedule (Table-IV-style), one line per model. *)
-  Buffer.add_string buf "  \"networks\": [\n";
-  List.iteri
-    (fun i (label, (c : Dnn.Runner.fusion_comparison)) ->
-      let f = c.Dnn.Runner.fc_fused and u = c.Dnn.Runner.fc_unfused in
-      Buffer.add_string buf
-        (Fmt.str
-           "    { \"name\": %S, \"e2e_unfused_ms\": %.4f, \
-            \"e2e_fused_ms\": %.4f, \"fusion_speedup\": %.3f, \
-            \"folded\": %d, \"kernels_unfused\": %d, \"kernels_fused\": %d, \
-            \"peak_unfused_bytes\": %d, \"peak_fused_bytes\": %d }%s\n"
-           label
-           (u.Dnn.Runner.g_e2e_s *. 1e3)
-           (f.Dnn.Runner.g_e2e_s *. 1e3)
-           (Dnn.Runner.fusion_speedup c)
-           f.Dnn.Runner.g_folded u.Dnn.Runner.g_kernels
-           f.Dnn.Runner.g_kernels u.Dnn.Runner.g_peak_bytes
-           f.Dnn.Runner.g_peak_bytes
-           (if i = List.length networks - 1 then "" else ",")))
-    networks;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i r ->
-      (* The arm line carries every scalar (the --check reader matches
-         [name] and [states_per_s] on one line); the registry deltas
-         follow as a nested object so arms carry their counter snapshots. *)
-      Buffer.add_string buf
-        (Fmt.str
-           "    { \"name\": %S, \"ns_per_run\": %.1f, \"runs\": %d, \
-            \"states_per_s\": %s, \"cache_hit_rate\": %s, \
-            \"prune_rate\": %s, \"jobs\": %d,\n"
-           r.b_name r.b_ns r.b_runs (field_opt r.b_states_s)
-           (field_opt r.b_hit_rate) (field_opt r.b_prune_rate) r.b_jobs);
-      Buffer.add_string buf "      \"counters\": {";
-      List.iteri
-        (fun j (name, v) ->
-          Buffer.add_string buf
-            (Fmt.str "%s\"%s\": %d" (if j = 0 then " " else ", ") name v))
-        r.b_counters;
-      Buffer.add_string buf
-        (Fmt.str " } }%s\n" (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let network (label, (c : Dnn.Runner.fusion_comparison)) =
+    let f = c.fc_fused and u = c.fc_unfused in
+    Json.(
+      Obj
+        [ ("name", Str label); ("e2e_unfused_ms", num (u.g_e2e_s *. 1e3));
+          ("e2e_fused_ms", num (f.g_e2e_s *. 1e3));
+          ("fusion_speedup", num (Dnn.Runner.fusion_speedup c));
+          ("folded", int f.g_folded); ("kernels_unfused", int u.g_kernels);
+          ("kernels_fused", int f.g_kernels);
+          ("peak_unfused_bytes", int u.g_peak_bytes);
+          ("peak_fused_bytes", int f.g_peak_bytes) ])
+  in
+  (* One line per arm, its registry deltas as a nested object. *)
+  let arm r =
+    Json.(
+      Obj
+        [ ("name", Str r.b_name); ("ns_per_run", num r.b_ns); ("runs", int r.b_runs);
+          ("states_per_s", opt r.b_states_s); ("cache_hit_rate", opt r.b_hit_rate);
+          ("prune_rate", opt r.b_prune_rate); ("jobs", int r.b_jobs);
+          ("counters", Obj (List.map (fun (k, v) -> (k, int v)) r.b_counters)) ])
+  in
+  Json.(
+    to_string
+      (Obj
+         [ ("schema", Str "gensor-bench-compile/6"); ("jobs", int jobs);
+           ("cpus", int (Domain.recommended_domain_count ()));
+           ("speedup_gensor_vs_seq", num speedup);
+           ("speedup_incremental_vs_full", opt speedup_incremental);
+           ("predict",
+             Obj
+               [ ("enabled", Bool enabled); ("topk", opt topk); ("quality_eps", opt eps);
+                 ("speedup_predict_vs_exact", opt speedup_predict) ]);
+           ("exec",
+             Obj
+               [ ("compiled_points_per_s", opt compiled_s);
+                 ("interp_points_per_s", opt interp_s);
+                 ("speedup_compiled_vs_interp", opt ratio) ]);
+           ("networks", Arr (List.map network networks));
+           ("benchmarks", Arr (List.map arm rows)) ]))
+  ^ "\n"
 
 (* ---------- baseline regression check ---------- *)
 
-(* Reads back the JSON that [bench_json] writes.  The format is the tool's
-   own line-oriented output, so a full JSON parser would be overkill (and
-   would be the repo's only external-parser dependency): each benchmark
-   object lives on one line, keys are unambiguous, and we only need
-   [name] and [states_per_s]. *)
-let baseline_states_per_s file =
-  let find_sub line pat =
-    let n = String.length line and m = String.length pat in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub line i m = pat then Some (i + m)
-      else go (i + 1)
-    in
-    go 0
+(* (arm name, states/s) for every baseline arm that records a throughput.
+   Read before the first arm runs, so a baseline that does not parse fails
+   the check at once instead of silently matching nothing. *)
+let baseline_arms file =
+  let ( let* ) = Result.bind in
+  let* body =
+    try Ok (In_channel.with_open_bin file In_channel.input_all)
+    with Sys_error m -> Error m
   in
-  let string_field line key =
-    Option.bind (find_sub line (Fmt.str "\"%s\": \"" key)) (fun start ->
-        Option.map
-          (fun stop -> String.sub line start (stop - start))
-          (String.index_from_opt line start '"'))
+  let* doc = Result.map_error (Fmt.str "%s: %s" file) (Json.parse body) in
+  let arm a =
+    match Json.(to_string_opt (member "name" a), to_float (member "states_per_s" a)) with
+    | Some name, Some v -> Some (name, v)
+    | _ -> None
   in
-  let float_field line key =
-    Option.bind (find_sub line (Fmt.str "\"%s\": " key)) (fun start ->
-        let stop = ref start in
-        let n = String.length line in
-        while
-          !stop < n
-          && (match line.[!stop] with
-             | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr stop
-        done;
-        float_of_string_opt (String.sub line start (!stop - start)))
-  in
-  let ic = open_in file in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match (string_field line "name", float_field line "states_per_s") with
-       | Some name, Some v -> rows := (name, v) :: !rows
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
+  match Json.to_list (Json.member "benchmarks" doc) with
+  | None -> Error (Fmt.str "%s: no \"benchmarks\" array" file)
+  | Some arms -> Ok (List.filter_map arm arms)
 
 (* CI perf-smoke guard: every construction arm present in both this run and
    the committed baseline must stay within [tolerance] of the recorded
    states/s.  Arms the baseline does not know (or that record no
-   throughput) are skipped, so adding arms never breaks an old baseline. *)
-let check_against_baseline ?(tolerance = 0.30) rows file =
-  match
-    try Ok (baseline_states_per_s file) with Sys_error m -> Error m
-  with
-  | Error m -> Error (Fmt.str "cannot read baseline: %s" m)
-  | Ok baseline ->
-  let failures = ref [] in
+   throughput) are skipped, so adding arms never breaks an old baseline;
+   a run that matches no baseline arm at all fails. *)
+let check_against_baseline ?(tolerance = 0.30) rows ~file baseline =
+  let failures = ref [] and matched = ref 0 in
   List.iter
     (fun r ->
       match (r.b_states_s, List.assoc_opt r.b_name baseline) with
       | Some now, Some base when base > 0.0 ->
+        incr matched;
         let floor = (1.0 -. tolerance) *. base in
         let verdict = if now < floor then "REGRESSED" else "ok" in
         if now < floor then failures := r.b_name :: !failures;
@@ -1003,6 +944,8 @@ let check_against_baseline ?(tolerance = 0.30) rows file =
       | _ -> ())
     rows;
   match List.rev !failures with
+  | [] when !matched = 0 ->
+    Error (Fmt.str "no measured arm matches a baseline arm in %s" file)
   | [] ->
     Fmt.pr "check: no construction arm regressed more than %.0f%%@."
       (100.0 *. tolerance);
@@ -1042,9 +985,11 @@ let bench_cmd =
       dump_file predict_file =
     apply_incremental no_incremental;
     apply_trace trace;
-    match load_predict predict_file with
-    | Error m -> `Error (false, m)
-    | Ok predict_model ->
+    let baseline = Option.map (fun file -> (file, baseline_arms file)) check_file in
+    match (load_predict predict_file, baseline) with
+    | Error m, _ -> `Error (false, m)
+    | _, Some (_, Error m) -> `Error (false, "cannot read baseline: " ^ m)
+    | Ok predict_model, baseline ->
     let incremental = Costmodel.Delta.enabled () in
     let hw = Hardware.Presets.rtx4090 in
     let gemm_op = Ops.Matmul.gemm ~m:1024 ~n:1024 ~k:1024 () in
@@ -1386,9 +1331,9 @@ let bench_cmd =
       close_out oc;
       Fmt.pr "wrote %s@." file);
     report_trace ();
-    match check_file with
-    | None -> `Ok ()
-    | Some file -> (
+    match baseline with
+    | None | Some (_, Error _) -> `Ok ()
+    | Some (file, Ok baseline) -> (
       (* Besides the throughput baseline, --check guards the fusion win
          itself: the graph path must beat its own unfused schedule on the
          residual and transformer networks (the paper's Table-IV setting). *)
@@ -1425,7 +1370,7 @@ let bench_cmd =
         | _ -> []
       in
       let failures =
-        (match check_against_baseline rows file with
+        (match check_against_baseline rows ~file baseline with
         | Ok () -> []
         | Error m -> [ m ])
         @ (match fusion_failures with

@@ -61,7 +61,7 @@ type validation = {
   v_tids : int;      (** distinct thread lanes *)
 }
 
-(** Check a Chrome-format trace file: well-formed events, and every [E]
-    closes the [B] on top of its thread's stack (balanced, properly
-    nested).  Used by the test suite and [gensor trace check]. *)
+(** Parse a Chrome-format trace file and replay its [traceEvents]: phases
+    are [B], [E] or [C], and every [E] closes the [B] on top of its
+    thread's stack.  Used by the test suite and [gensor trace check]. *)
 val validate_file : string -> (validation, string) result

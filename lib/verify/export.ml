@@ -1,12 +1,7 @@
 (* Machine-readable renderings of verifier output: a compact JSON format
-   and SARIF 2.1.0.
-
-   Both are hand-emitted — this repository deliberately has no JSON
-   dependency (the bench and trace layers hand-write JSON for the same
-   reason), and the subset needed here is small: objects, arrays, strings,
-   integers, null.  Strings go through one escaper that covers every JSON
-   obligation (quote, backslash, control characters), so emitted documents
-   are valid for any diagnostic text.
+   and SARIF 2.1.0, both built as [Json.t] values and printed by the one
+   JSON printer, whose escaper makes the documents valid for any
+   diagnostic text.
 
    SARIF notes:
    - diagnostic codes are the SARIF rule ids; the driver's [rules] array
@@ -24,69 +19,45 @@ type item = {
 
 let item ?region ~target diags = { target; diags; region }
 
-(* ---------- JSON primitives ---------- *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ escape s ^ "\""
-let jfield k v = jstr k ^ ": " ^ v
-let jobj fields = "{" ^ String.concat ", " fields ^ "}"
-let jarr items = "[" ^ String.concat ", " items ^ "]"
-
 let severity_counts diags =
   ( Diagnostic.count Diagnostic.Error diags,
     Diagnostic.count Diagnostic.Warning diags,
     Diagnostic.count Diagnostic.Info diags )
 
+let int n = Json.Num (float_of_int n)
+let text s = Json.(Obj [ ("text", Str s) ])
+
 (* ---------- compact JSON ---------- *)
 
 let diag_json (d : Diagnostic.t) =
-  jobj
-    [ jfield "code" (jstr d.Diagnostic.code);
-      jfield "severity"
-        (jstr (Diagnostic.severity_to_string d.Diagnostic.severity));
-      jfield "pass" (jstr (Diagnostic.pass_to_string d.Diagnostic.pass));
-      jfield "loc" (jstr d.Diagnostic.loc);
-      jfield "message" (jstr d.Diagnostic.message) ]
+  Json.(
+    Obj
+      [ ("code", Str d.code);
+        ("severity", Str (Diagnostic.severity_to_string d.severity));
+        ("pass", Str (Diagnostic.pass_to_string d.pass)); ("loc", Str d.loc);
+        ("message", Str d.message) ])
 
 let item_json it =
   let errors, warnings, infos = severity_counts it.diags in
-  jobj
-    [ jfield "target" (jstr it.target);
-      jfield "region"
-        (match it.region with Some r -> jstr r | None -> "null");
-      jfield "errors" (string_of_int errors);
-      jfield "warnings" (string_of_int warnings);
-      jfield "infos" (string_of_int infos);
-      jfield "diagnostics"
-        (jarr (List.map diag_json (Diagnostic.by_severity it.diags))) ]
+  Json.(
+    Obj
+      [ ("target", Str it.target);
+        ("region", Option.fold ~none:Null ~some:(fun r -> Str r) it.region);
+        ("errors", int errors); ("warnings", int warnings); ("infos", int infos);
+        ("diagnostics", Arr (List.map diag_json (Diagnostic.by_severity it.diags))) ])
 
 let json items =
-  let all = List.concat_map (fun it -> it.diags) items in
-  let errors, warnings, infos = severity_counts all in
-  jobj
-    [ jfield "tool" (jstr "gensor-verify");
-      jfield "items" (jarr (List.map item_json items));
-      jfield "summary"
-        (jobj
-           [ jfield "targets" (string_of_int (List.length items));
-             jfield "errors" (string_of_int errors);
-             jfield "warnings" (string_of_int warnings);
-             jfield "infos" (string_of_int infos) ]) ]
+  let errors, warnings, infos =
+    severity_counts (List.concat_map (fun it -> it.diags) items)
+  in
+  Json.(
+    to_string
+      (Obj
+         [ ("tool", Str "gensor-verify"); ("items", Arr (List.map item_json items));
+           ("summary",
+             Obj
+               [ ("targets", int (List.length items)); ("errors", int errors);
+                 ("warnings", int warnings); ("infos", int infos) ]) ]))
   ^ "\n"
 
 (* ---------- SARIF 2.1.0 ---------- *)
@@ -106,55 +77,50 @@ let rules items =
           if Hashtbl.mem seen d.Diagnostic.code then None
           else begin
             Hashtbl.add seen d.Diagnostic.code ();
-            Some
-              (jobj
-                 [ jfield "id" (jstr d.Diagnostic.code);
-                   jfield "shortDescription"
-                     (jobj
-                        [ jfield "text"
-                            (jstr
-                               (Fmt.str "gensor verifier %s-pass diagnostic"
-                                  (Diagnostic.pass_to_string
-                                     d.Diagnostic.pass))) ]) ])
+            let desc =
+              Fmt.str "gensor verifier %s-pass diagnostic"
+                (Diagnostic.pass_to_string d.pass)
+            in
+            Some Json.(Obj [ ("id", Str d.code); ("shortDescription", text desc) ])
           end)
         it.diags)
     items
 
 let sarif_result ~target (d : Diagnostic.t) =
-  jobj
-    [ jfield "ruleId" (jstr d.Diagnostic.code);
-      jfield "level" (jstr (sarif_level d.Diagnostic.severity));
-      jfield "message" (jobj [ jfield "text" (jstr d.Diagnostic.message) ]);
-      jfield "locations"
-        (jarr
-           [ jobj
-               [ jfield "logicalLocations"
-                   (jarr
-                      [ jobj
-                          [ jfield "fullyQualifiedName"
-                              (jstr (target ^ ": " ^ d.Diagnostic.loc));
-                            jfield "kind" (jstr "member") ] ]) ] ]) ]
+  let location =
+    Json.(
+      Obj
+        [ ("fullyQualifiedName", Str (target ^ ": " ^ d.loc));
+          ("kind", Str "member") ])
+  in
+  Json.(
+    Obj
+      [ ("ruleId", Str d.code); ("level", Str (sarif_level d.severity));
+        ("message", text d.message);
+        ("locations", Arr [ Obj [ ("logicalLocations", Arr [ location ]) ] ]) ])
 
 let sarif items =
   let results =
     List.concat_map
       (fun it ->
-        List.map (sarif_result ~target:it.target)
-          (Diagnostic.by_severity it.diags))
+        List.map (sarif_result ~target:it.target) (Diagnostic.by_severity it.diags))
       items
   in
-  jobj
-    [ jfield "$schema" (jstr "https://json.schemastore.org/sarif-2.1.0.json");
-      jfield "version" (jstr "2.1.0");
-      jfield "runs"
-        (jarr
-           [ jobj
-               [ jfield "tool"
-                   (jobj
-                      [ jfield "driver"
-                          (jobj
-                             [ jfield "name" (jstr "gensor-verify");
-                               jfield "version" (jstr "1.0");
-                               jfield "rules" (jarr (rules items)) ]) ]);
-                 jfield "results" (jarr results) ] ]) ]
+  let run =
+    Json.(
+      Obj
+        [ ("tool",
+            Obj
+              [ ("driver",
+                  Obj
+                    [ ("name", Str "gensor-verify"); ("version", Str "1.0");
+                      ("rules", Arr (rules items)) ]) ]);
+          ("results", Arr results) ])
+  in
+  Json.(
+    to_string
+      (Obj
+         [ ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+           ("version", Str "2.1.0");
+           ("runs", Arr [ run ]) ]))
   ^ "\n"

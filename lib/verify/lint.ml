@@ -20,7 +20,7 @@ let product = List.fold_left ( * ) 1
 (* Trip count of the for-loop on [line] when it is a compile-time constant:
    the bound between '<' and ';' must be a decimal literal. *)
 let constant_trip line =
-  match Scan.find_sub line "for" with
+  match Scan.substring_index line "for" with
   | None -> None
   | Some _ -> (
     match String.index_opt line '<' with

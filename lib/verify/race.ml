@@ -39,7 +39,7 @@ let count_char ch s =
 
 (* Name of the smem array written on this line, if any: "smem_T[...] =". *)
 let smem_write_target line =
-  match Scan.find_sub line "smem_" with
+  match Scan.substring_index line "smem_" with
   | None -> None
   | Some i -> (
     let start = i + String.length "smem_" in

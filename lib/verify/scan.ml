@@ -19,7 +19,7 @@ let lines src =
     out := (!num, String.sub src !start (String.length src - !start)) :: !out;
   List.rev !out
 
-let find_sub s sub =
+let substring_index s sub =
   let n = String.length sub and h = String.length s in
   if n = 0 then Some 0
   else begin
@@ -31,7 +31,7 @@ let find_sub s sub =
     go 0
   end
 
-let contains s sub = find_sub s sub <> None
+let contains s sub = substring_index s sub <> None
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -49,14 +49,14 @@ let int_from s pos =
 
 (* First decimal literal after the first occurrence of [marker]. *)
 let int_after s marker =
-  match find_sub s marker with
+  match substring_index s marker with
   | None -> None
   | Some i -> int_from s (i + String.length marker)
 
 (* All decimal literals strictly between the end of [marker] and the next
    [stop] character, e.g. the three dims of "dim3 grid(8, 8, 1);". *)
 let ints_between s ~marker ~stop =
-  match find_sub s marker with
+  match substring_index s marker with
   | None -> []
   | Some i ->
     let from = i + String.length marker in

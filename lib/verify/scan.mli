@@ -3,7 +3,7 @@
 (** Source lines with 1-based line numbers. *)
 val lines : string -> (int * string) list
 
-val find_sub : string -> string -> int option
+val substring_index : string -> string -> int option
 val contains : string -> string -> bool
 
 (** First decimal literal at or after a position. *)

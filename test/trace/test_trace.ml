@@ -169,35 +169,60 @@ let test_span_nesting_well_formed () =
     check_bool "spans present" true (v.Trace.v_spans > 0);
     check_bool "counters exported" true (v.Trace.v_counters > 0);
     (* The instrumented layers all appear in an optimizer run. *)
-    let ic = open_in path in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let contains sub =
-      let n = String.length body and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub body i m = sub || go (i + 1)) in
-      go 0
-    in
+    let body = In_channel.with_open_bin path In_channel.input_all in
+    let events = Json.(to_list (member "traceEvents" (Result.get_ok (parse body)))) in
+    let name ev = Json.(to_string_opt (member "name" ev)) in
+    let names = List.filter_map name (Option.get events) in
     List.iter
       (fun name ->
-        check_bool (name ^ " span present") true
-          (contains (Fmt.str "\"name\":%S" name)))
+        check_bool (name ^ " span present") true (List.mem name names))
       [ "optimizer.optimize"; "optimizer.chains"; "anneal.run";
         "polish.greedy"; "pool.map" ]
 
-let test_validate_rejects_unbalanced () =
+(* [validate body] writes [body] to a temporary trace file and checks it. *)
+let validate body =
   let path = temp_trace () in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  output_string oc "{ \"traceEvents\": [\n";
-  output_string oc
-    "{\"name\":\"a\",\"cat\":\"gensor\",\"ph\":\"B\",\"ts\":1.0,\"pid\":1,\"tid\":0},\n";
-  output_string oc
-    "{\"name\":\"b\",\"cat\":\"gensor\",\"ph\":\"E\",\"ts\":2.0,\"pid\":1,\"tid\":0}\n";
-  output_string oc "], \"displayTimeUnit\": \"ms\" }\n";
-  close_out oc;
-  match Trace.validate_file path with
-  | Ok _ -> Alcotest.fail "mismatched E accepted"
+  Out_channel.with_open_bin path (fun oc -> output_string oc body);
+  Trace.validate_file path
+
+let event name ph tid =
+  Fmt.str {|{"name":%S,"cat":"gensor","ph":%S,"ts":1.0,"pid":1,"tid":%d}|} name ph
+    tid
+
+let wrap events =
+  {|{ "traceEvents": [|} ^ events ^ {|], "displayTimeUnit": "ms" }|} ^ "\n"
+
+let check_rejected what body =
+  match validate body with
+  | Ok _ -> Alcotest.fail (what ^ " accepted")
   | Error _ -> ()
+
+let test_validate_rejects_unbalanced () =
+  check_rejected "mismatched E"
+    (wrap (event "a" "B" 0 ^ ",\n" ^ event "b" "E" 0 ^ "\n"))
+
+(* Event lines with no [traceEvents] wrapper are not a trace. *)
+let test_validate_rejects_bare_events () =
+  check_rejected "events without a traceEvents wrapper"
+    (event "a" "B" 0 ^ ",\n" ^ event "a" "E" 0 ^ "\n")
+
+(* Validation reads the JSON, not its line layout: balanced events sharing
+   one line check the same as one event per line. *)
+let test_validate_accepts_one_line () =
+  let events sep =
+    String.concat sep
+      [ event "a" "B" 0; event "b" "B" 0; event "b" "E" 0; event "a" "E" 0;
+        event "c" "B" 1; event "c" "E" 1 ]
+  in
+  let counts = function
+    | Error m -> Alcotest.fail m
+    | Ok v -> Trace.(v.v_events, v.v_spans, v.v_tids)
+  in
+  let one_line = counts (validate (wrap (events ", "))) in
+  Alcotest.(check (triple int int int)) "events, spans, lanes" (6, 3, 2) one_line;
+  Alcotest.(check (triple int int int)) "same as one event per line"
+    (counts (validate (wrap ("\n" ^ events ",\n" ^ "\n")))) one_line
 
 let test_parse_spec () =
   Alcotest.(check (option string)) "off" None (Trace.parse_spec "off");
@@ -303,6 +328,10 @@ let () =
             test_span_nesting_well_formed;
           Alcotest.test_case "unbalanced rejected" `Quick
             test_validate_rejects_unbalanced;
+          Alcotest.test_case "bare event lines rejected" `Quick
+            test_validate_rejects_bare_events;
+          Alcotest.test_case "one-line trace accepted" `Quick
+            test_validate_accepts_one_line;
           Alcotest.test_case "parse_spec" `Quick test_parse_spec;
         ] );
       ( "counters",
