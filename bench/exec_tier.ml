@@ -11,6 +11,12 @@ let cases () =
     ("Conv 16ch 28x28 k3",
      Ops.Conv.conv2d ~batch:1 ~in_channels:16 ~out_channels:16 ~height:28
        ~width:28 ~kernel:3 ~stride:1 ());
+    ("Conv 64ch 28x28 k1",
+     Ops.Conv.conv2d ~batch:1 ~in_channels:64 ~out_channels:64 ~height:28
+       ~width:28 ~kernel:1 ~stride:1 ());
+    ("DWConv 32ch 56x56 k3 s2",
+     Ops.Conv.depthwise_conv2d ~batch:1 ~channels:32 ~height:56 ~width:56
+       ~kernel:3 ~stride:2 ~pad:1 ());
     ("MaxPool 32ch 56x56",
      Ops.Pool.maxpool2d ~batch:1 ~channels:32 ~height:56 ~width:56 ~window:2
        ~stride:2 ()) ]

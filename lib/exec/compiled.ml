@@ -14,21 +14,23 @@
      (base + Sigma coeff*var) instruction with precomputed strides;
    - the scalar body becomes a float register program over those offset
      registers, with direct unsafe loads from the input buffers;
-   - in the innermost reduce stripe, affine offsets advance by their
-     precomputed per-step delta instead of being recomputed, and the two
-     ubiquitous reduction bodies (multiply-accumulate and single-read
-     fold) are recognised at compile time and run as dedicated unsafe
-     float-array loops.
+   - the reduction is one walk over the reduce dims of extent > 1: when
+     every body site is affine, the offset program runs once per output
+     element and each walked dim advances the offsets by its precomputed
+     per-site step, and the two ubiquitous reduction bodies
+     (multiply-accumulate and single-read fold) are recognised at compile
+     time and run as dedicated unsafe float-array loops.
 
    The spatial loop nest (blocks / logical units / vthread stripes)
    mirrors [Scheduled.run] exactly, so both tiers visit exactly the same
    output elements; the interpreter's chunked reduction loops are folded
-   flat here (see [reduce_dim] below) without changing the accumulation
-   order, so results are bit-identical and [Scheduled.run] stays the
-   differential-testing oracle.  Unsafe array accesses are sound because [Compute.v] validates
-   every access's bounding region over the full iteration domain against
-   the declared tensor shapes, and [check_inputs] re-validates the actual
-   input shapes against the declaration at run time. *)
+   into the flat walk (see [reduce] below) without changing the
+   accumulation order, so results are bit-identical and [Scheduled.run]
+   stays the differential-testing oracle.  Unsafe array accesses are
+   sound because [Compute.v] validates every access's bounding region
+   over the full iteration domain against the declared tensor shapes, and
+   [check_inputs] re-validates the actual input shapes against the
+   declaration at run time. *)
 
 open Tensor_lang
 open Sched
@@ -80,7 +82,7 @@ and fmax' = 7
 and fmin' = 8
 and facc = 9
 
-(* Innermost-stripe specialisation, chosen at compile time. *)
+(* Reduction-walk specialisation, chosen at compile time. *)
 type kernel =
   | Mac of int * int  (* acc <- acc + t_a[o_a] * t_b[o_b]; the GEMM/conv body *)
   | Fold of int       (* acc <- combine acc t_a[o_a]; pooling / elementwise *)
@@ -92,6 +94,9 @@ type t = {
   m : int;  (* reduce dims *)
   sext : int array;
   rext : int array;
+  walk : int array;
+      (* the reduce dims the walk visits, outermost first: those of extent
+         > 1 in their original order, or the last one if none is *)
   bsize : int array;
   stripe : int array;
   units : int array;
@@ -104,9 +109,11 @@ type t = {
   site_tensor : int array;
   body_idx : int array;  (* int program: body site offsets from vars *)
   epi_idx : int array;  (* int program: epilogue site offsets *)
-  deltas : int array option;
-      (* per-site innermost-reduce offset step; present iff every body
-         site is affine, enabling incremental offsets in the stripe *)
+  deltas : int array array option;
+      (* [deltas.(k).(site)]: the offset step of body site [site] per unit
+         of walked dim [k]; present iff the compute reduces and every body
+         site is affine, so offsets are computed once per output element
+         and stepped through the walk *)
   body_code : int array;  (* float program; value lands in freg 0 *)
   epi_code : int array option;
   fpool : float array;
@@ -268,9 +275,9 @@ let site_of ctx access =
     touch_ireg ctx id;
     id
 
-(* Emit the offset computation of site [id] into its offset register. *)
-let compile_site_offset ctx buf scratch id =
-  let s = List.nth ctx.sites (ctx.n_sites_c - 1 - id) in
+(* Emit the offset computation of site [id] ([s]) into its offset
+   register. *)
+let compile_site_offset ctx buf scratch id s =
   match s.s_affine with
   | Some (base, coeffs) ->
     let terms = ref [] in
@@ -395,34 +402,36 @@ let compile etir =
       Some (program buf)
   in
   (* Offset programs: scratch registers live above the site registers. *)
+  let sites = Array.of_list (List.rev ctx.sites) in
   let scratch = ctx.n_sites_c in
   touch_ireg ctx scratch;
   let body_idx_buf = ref [] in
   for id = 0 to body_sites - 1 do
-    compile_site_offset ctx body_idx_buf scratch id
+    compile_site_offset ctx body_idx_buf scratch id sites.(id)
   done;
   let epi_idx_buf = ref [] in
   for id = body_sites to ctx.n_sites_c - 1 do
-    compile_site_offset ctx epi_idx_buf scratch id
+    compile_site_offset ctx epi_idx_buf scratch id sites.(id)
   done;
-  let sites = Array.of_list (List.rev ctx.sites) in
-  (* Incremental innermost offsets: legal when every body site is affine;
-     the per-step delta is the coefficient of the innermost reduce slot. *)
+  (* The reduction walk skips unit-extent dims: their variable stays 0,
+     so dropping them changes neither the points visited nor their
+     order. *)
+  let walk =
+    match List.filter (fun j -> rext.(j) > 1) (List.init m Fun.id) with
+    | [] when m > 0 -> [| m - 1 |]
+    | kept -> Array.of_list kept
+  in
+  (* Hoisted offsets: legal when every body site is affine; the step of a
+     walked dim is the coefficient of its slot. *)
   let deltas =
-    if m = 0 || body_sites = 0 then None
+    let affine = Array.init body_sites (fun id -> sites.(id).s_affine) in
+    if m = 0 || Array.exists Option.is_none affine then None
     else
-      let inner_slot = n + m - 1 in
-      let rec build id acc =
-        if id = body_sites then Some (Array.of_list (List.rev acc))
-        else
-          match sites.(id).s_affine with
-          | Some (_, coeffs) -> build (id + 1) (coeffs.(inner_slot) :: acc)
-          | None -> None
-      in
-      build 0 []
+      let coeffs = Array.map (fun a -> snd (Option.get a)) affine in
+      Some (Array.map (fun j -> Array.map (fun c -> c.(n + j)) coeffs) walk)
   in
   let sum = Compute.combine compute = Compute.Sum in
-  (* Innermost-stripe specialisation (requires incremental offsets). *)
+  (* Walk specialisation (requires hoisted offsets). *)
   let kernel =
     if m = 0 || deltas = None then Generic
     else
@@ -432,7 +441,7 @@ let compile etir =
       | Expr.Read a -> Fold (site_of ctx a)
       | _ -> Generic
   in
-  { compute; n; m; sext; rext; bsize; stripe; units;
+  { compute; n; m; sext; rext; walk; bsize; stripe; units;
     init = Compute.init compute; scale = Compute.scale compute; sum;
     tensors; tshapes;
     n_sites = ctx.n_sites_c;
@@ -579,98 +588,124 @@ let run_compiled p inputs =
   let vars = Array.make (n + m) 0 in
   let iregs = Array.make (max 1 p.n_iregs) 0 in
   let fregs = Array.make (max 1 p.n_fregs) 0.0 in
-  (* One contiguous run of the innermost reduce variable.  The kernel
-     dispatch and every site/tensor lookup are hoisted out of the hot
-     path by specialising the stripe closure once per run. *)
-  let inner_var = n + m - 1 in
-  let run_stripe : int -> int -> float ref -> unit =
+  (* The reduction of one output element, as a function from the initial
+     accumulator to the reduced one.  The walk visits the kept reduce dims
+     outermost first, each in ascending order — the order of the
+     interpreter's chunked loops, whose level-1/level-0 chunk structure is
+     kernel-shaped bookkeeping with no numeric effect — so the
+     accumulation order, and hence every result bit, is the
+     interpreter's.  Kernel dispatch and every site/tensor lookup are
+     resolved here, once per run. *)
+  let sum = p.sum in
+  let last = Array.length p.walk - 1 in
+  let wext = Array.map (fun j -> p.rext.(j)) p.walk in
+  let reduce : float -> float =
     match (p.deltas, p.kernel) with
     | Some d, Mac (sa, sb) ->
       let ta = data.(p.site_tensor.(sa)) and tb = data.(p.site_tensor.(sb)) in
-      let da = d.(sa) and db = d.(sb) in
-      fun start len acc ->
-        vars.(inner_var) <- start;
-        exec_int p.body_idx vars iregs;
-        let oa = ref iregs.(sa) and ob = ref iregs.(sb) in
-        let s = ref !acc in
-        for _ = 1 to len do
-          s := !s +. (Array.unsafe_get ta !oa *. Array.unsafe_get tb !ob);
-          oa := !oa + da;
-          ob := !ob + db
-        done;
-        acc := !s
-    | Some d, Fold sa ->
-      let ta = data.(p.site_tensor.(sa)) in
-      let dk = d.(sa) in
-      let sum = p.sum in
-      fun start len acc ->
-        vars.(inner_var) <- start;
-        exec_int p.body_idx vars iregs;
-        let o = ref iregs.(sa) in
-        let s = ref !acc in
-        if sum then
-          for _ = 1 to len do
-            s := !s +. Array.unsafe_get ta !o;
-            o := !o + dk
+      let da = Array.map (fun st -> st.(sa)) d
+      and db = Array.map (fun st -> st.(sb)) d in
+      let rec mac k oa ob s =
+        let dak = da.(k) and dbk = db.(k) in
+        let oa = ref oa and ob = ref ob and s = ref s in
+        if k = last then
+          for _ = 1 to wext.(k) do
+            s := !s +. (Array.unsafe_get ta !oa *. Array.unsafe_get tb !ob);
+            oa := !oa + dak;
+            ob := !ob + dbk
           done
         else
-          for _ = 1 to len do
-            s := Float.max !s (Array.unsafe_get ta !o);
-            o := !o + dk
+          for _ = 1 to wext.(k) do
+            s := mac (k + 1) !oa !ob !s;
+            oa := !oa + dak;
+            ob := !ob + dbk
           done;
-        acc := !s
-    | Some d, Generic ->
-      let n_body_sites = Array.length d in
-      fun start len acc ->
-        vars.(inner_var) <- start;
+        !s
+      in
+      fun acc ->
         exec_int p.body_idx vars iregs;
-        for _ = 1 to len do
-          exec_float p.body_code p.fpool iregs fregs data 0.0;
-          (acc :=
-             if p.sum then !acc +. fregs.(0) else Float.max !acc fregs.(0));
-          for s = 0 to n_body_sites - 1 do
-            iregs.(s) <- iregs.(s) + Array.unsafe_get d s
+        mac 0 iregs.(sa) iregs.(sb) acc
+    | Some d, Fold sa ->
+      let ta = data.(p.site_tensor.(sa)) in
+      let da = Array.map (fun st -> st.(sa)) d in
+      let rec fold k o s =
+        let dak = da.(k) in
+        let o = ref o and s = ref s in
+        if k < last then
+          for _ = 1 to wext.(k) do
+            s := fold (k + 1) !o !s;
+            o := !o + dak
           done
+        else if sum then
+          for _ = 1 to wext.(k) do
+            s := !s +. Array.unsafe_get ta !o;
+            o := !o + dak
+          done
+        else
+          for _ = 1 to wext.(k) do
+            s := Float.max !s (Array.unsafe_get ta !o);
+            o := !o + dak
+          done;
+        !s
+      in
+      fun acc ->
+        exec_int p.body_idx vars iregs;
+        fold 0 iregs.(sa) acc
+    | Some d, Generic ->
+      (* Offsets live in the site registers: each dim steps them forward
+         and rewinds them when done, so its enclosing dim steps from the
+         dim's start. *)
+      let n_body_sites = Array.length d.(0) in
+      let advance st times =
+        for s = 0 to n_body_sites - 1 do
+          iregs.(s) <- iregs.(s) + (times * Array.unsafe_get st s)
         done
+      in
+      let rec generic k acc =
+        let st = d.(k) and len = wext.(k) in
+        let acc = ref acc in
+        for _ = 1 to len do
+          (if k = last then begin
+             exec_float p.body_code p.fpool iregs fregs data 0.0;
+             acc := if sum then !acc +. fregs.(0) else Float.max !acc fregs.(0)
+           end
+           else acc := generic (k + 1) !acc);
+          advance st 1
+        done;
+        advance st (-len);
+        !acc
+      in
+      fun acc ->
+        exec_int p.body_idx vars iregs;
+        generic 0 acc
     | None, _ ->
-      (* Some body site is non-affine: re-derive every offset per element. *)
-      fun start len acc ->
-        for step = 0 to len - 1 do
-          vars.(inner_var) <- start + step;
+      (* No reduction, or some body site is non-affine: set the walked
+         variables and re-derive every offset per point. *)
+      let rec point k acc =
+        if k > last then begin
           exec_int p.body_idx vars iregs;
           exec_float p.body_code p.fpool iregs fregs data 0.0;
-          acc := if p.sum then !acc +. fregs.(0) else Float.max !acc fregs.(0)
-        done
-  in
-  (* Reduction.  The interpreter's chunked loops (level-1 chunks, level-0
-     sub-chunks) visit every reduce variable in strictly ascending,
-     contiguous order and accumulate sequentially — the chunk structure is
-     kernel-shaped bookkeeping with no numeric effect.  The compiled tier
-     therefore folds each reduce dimension into one flat loop and hands
-     the innermost dimension to the stripe kernel as a single full-extent
-     run: bit-identical results, and the per-stripe offset program
-     amortises over the whole extent instead of one level-0 chunk. *)
-  let rec reduce_dim j acc =
-    if j = m - 1 then run_stripe 0 p.rext.(j) acc
-    else
-      for r = 0 to p.rext.(j) - 1 do
-        vars.(n + j) <- r;
-        reduce_dim (j + 1) acc
-      done
+          if sum then acc +. fregs.(0) else Float.max acc fregs.(0)
+        end
+        else begin
+          let slot = n + p.walk.(k) in
+          let acc = ref acc in
+          for r = 0 to wext.(k) - 1 do
+            vars.(slot) <- r;
+            acc := point (k + 1) !acc
+          done;
+          vars.(slot) <- 0;
+          !acc
+        end
+      in
+      point 0
   in
   (* One output element: reduce, scale, epilogue, store. *)
   let rdomain = Array.fold_left ( * ) 1 p.rext in
   let points = ref 0 in
   let visit () =
     points := !points + rdomain;
-    let acc = ref p.init in
-    if m = 0 then begin
-      exec_int p.body_idx vars iregs;
-      exec_float p.body_code p.fpool iregs fregs data 0.0;
-      acc := if p.sum then !acc +. fregs.(0) else Float.max !acc fregs.(0)
-    end
-    else reduce_dim 0 acc;
-    let v = !acc *. p.scale in
+    let v = reduce p.init *. p.scale in
     let v =
       match p.epi_code with
       | None -> v
@@ -736,14 +771,19 @@ let pp ppf p =
     | Fold _ -> "fold"
     | Generic -> "generic"
   in
+  let reduce = Array.of_list (Compute.reduce_axes p.compute) in
   Fmt.pf ppf
     "compiled{%s: %d sites, body %d+%d words, epi %s, %s stripe kernel, \
-     %d iregs, %d fregs%s}"
+     reduce walk [%a] %d/%d dims, %s offsets, %d iregs, %d fregs}"
     (Compute.name p.compute) p.n_sites
     (Array.length p.body_idx)
     (Array.length p.body_code)
     (match p.epi_code with
     | None -> "none"
     | Some c -> string_of_int (Array.length c) ^ " words")
-    kernel_name p.n_iregs p.n_fregs
-    (if p.deltas = None then "" else ", incremental offsets")
+    kernel_name
+    Fmt.(array ~sep:(any ",") string)
+    (Array.map (fun j -> Axis.name reduce.(j)) p.walk)
+    (Array.length p.walk) p.m
+    (if p.deltas = None then "per-point" else "hoisted")
+    p.n_iregs p.n_fregs

@@ -1,12 +1,13 @@
 (** Compiled execution tier: an ETIR schedule lowered to a flat
     register-based bytecode program (pre-resolved axis slots, precomputed
-    row-major strides, incremental offsets and specialised
-    multiply-accumulate / fold loops in the innermost reduce stripe), run
-    by a tight dispatch-loop VM.
+    row-major strides, and a reduction walk over the reduce dims of extent
+    > 1 that computes operand offsets once per output element and steps
+    them into specialised multiply-accumulate / fold loops), run by a
+    tight dispatch-loop VM.
 
-    Visit order is identical to {!Scheduled.run} — the interpreter stays
-    the differential-testing oracle; results agree up to floating-point
-    associativity.  The bytecode ISA and compilation scheme are documented
+    Visit and accumulation order are identical to {!Scheduled.run} — the
+    interpreter stays the differential-testing oracle, and results are
+    bit-identical to it.  The bytecode ISA and compilation scheme are documented
     in DESIGN.md §15. *)
 
 type t
@@ -28,5 +29,7 @@ val run_compiled : t -> (string * Tensor.t) list -> Scheduled.result
     tight re-execution loops. *)
 val run : Sched.Etir.t -> (string * Tensor.t) list -> Scheduled.result
 
-(** One-line program summary (site/instruction counts, stripe kernel). *)
+(** One-line program summary: site/instruction counts, stripe kernel, the
+    walked reduce dims (e.g. [reduce walk [c] 1/3 dims]) and whether
+    offsets are hoisted out of the walk or re-derived per point. *)
 val pp : t Fmt.t

@@ -3,6 +3,11 @@ open Sched
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
 (* ---------- Tensor ---------- *)
 
 let test_tensor_basics () =
@@ -140,11 +145,6 @@ let test_coverage_violation () =
      let msg =
        Fmt.str "%a" Exec.Scheduled.pp_coverage_violation (coords, count)
      in
-     let contains s sub =
-       let n = String.length s and k = String.length sub in
-       let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-       go 0
-     in
      Alcotest.(check bool) "message names the coordinate" true
        (contains msg "1,2")
    | None -> Alcotest.fail "violation not detected")
@@ -155,6 +155,10 @@ let small_ops =
   [ ("gemm 13x9x11", fun () -> Ops.Matmul.gemm ~m:13 ~n:9 ~k:11 ());
     ("gemv 23x17", fun () -> Ops.Matmul.gemv ~m:23 ~n:17 ());
     ("bmm 3x6x5x4", fun () -> Ops.Matmul.batch_matmul ~batch:3 ~m:6 ~n:5 ~k:4 ());
+    ("conv 5ch 6x6 k1",
+     fun () ->
+       Ops.Conv.conv2d ~batch:1 ~in_channels:5 ~out_channels:4 ~height:6
+         ~width:6 ~kernel:1 ~stride:1 ());
     ("conv 2ch 7x7 s2",
      fun () ->
        Ops.Conv.conv2d ~batch:2 ~in_channels:2 ~out_channels:3 ~height:7
@@ -257,9 +261,71 @@ let gemm_bias_relu ~m ~n ~k =
   Compute.v ~name:"gemm_bias_relu" ~axes ~inputs ~out_name:"C" ~epilogue ~body
     ()
 
-(* The differential computes: random tiles/vthreads run over a plain GEMM,
-   a Max_combine reduction (maxpool), and an epilogue-fused GEMM — the
-   three body/combine shapes the compiler specialises differently. *)
+(* A GEMM-shaped compute whose [A] access is non-affine ([k / 2]), plus a
+   unit-extent reduce dim [u]: no offset can be stepped, so the compiled
+   tier re-derives offsets per reduce point. *)
+let halved_gemm ~m ~n ~k =
+  let open Tensor_lang in
+  let axes =
+    [ Axis.spatial "i" m; Axis.spatial "j" n; Axis.reduce "k" k;
+      Axis.reduce "u" 1 ]
+  in
+  let inputs =
+    [ { Compute.in_name = "A"; in_shape = [ m; (k + 1) / 2 ];
+        in_dtype = Dtype.F32 };
+      { Compute.in_name = "B"; in_shape = [ k; n ]; in_dtype = Dtype.F32 } ]
+  in
+  let body =
+    Expr.mul
+      (Expr.read "A"
+         [ Index.var "i";
+           Index.add (Index.div (Index.var "k") (Index.const 2)) (Index.var "u")
+         ])
+      (Expr.read "B" [ Index.var "k"; Index.var "j" ])
+  in
+  Compute.v ~name:"halved_gemm" ~axes ~inputs ~out_name:"C" ~body ()
+
+(* A sliding-window squared difference: a two-dim reduction whose body is
+   neither a product of two reads nor a single read, so the compiled tier
+   steps hoisted offsets through the generic body program. *)
+let window_sqdiff ~h ~w ~k =
+  let open Tensor_lang in
+  let axes =
+    [ Axis.spatial "x" (h - k + 1); Axis.spatial "y" (w - k + 1);
+      Axis.reduce "rx" k; Axis.reduce "ry" k ]
+  in
+  let inputs =
+    [ { Compute.in_name = "I"; in_shape = [ h; w ]; in_dtype = Dtype.F32 };
+      { Compute.in_name = "K"; in_shape = [ k; k ]; in_dtype = Dtype.F32 } ]
+  in
+  let d =
+    Expr.sub
+      (Expr.read "I"
+         [ Index.add (Index.var "x") (Index.var "rx");
+           Index.add (Index.var "y") (Index.var "ry") ])
+      (Expr.read "K" [ Index.var "rx"; Index.var "ry" ])
+  in
+  Compute.v ~name:"window_sqdiff" ~axes ~inputs ~out_name:"O"
+    ~body:(Expr.mul d d) ()
+
+let conv1x1 () =
+  Ops.Op.compute
+    (Ops.Conv.conv2d ~batch:1 ~in_channels:6 ~out_channels:5 ~height:7
+       ~width:7 ~kernel:1 ~stride:1 ())
+
+let dwconv_s2_pad () =
+  Ops.Op.compute
+    (Ops.Conv.depthwise_conv2d ~batch:1 ~channels:3 ~height:9 ~width:9
+       ~kernel:3 ~stride:2 ~pad:1 ())
+
+(* The differential computes: random tiles/vthreads run over every body,
+   combine and reduction shape the compiler specialises differently — a
+   plain GEMM, a Max_combine reduction (maxpool), an epilogue-fused GEMM,
+   a pointwise conv (unit kernel dims dropped from the reduction walk), a
+   strided padded depthwise conv (two walked dims), a conv whose reduce
+   dims all have extent 1 (the walk keeps the last), a generic body over
+   two walked dims, and a non-affine access (offsets re-derived per
+   point). *)
 let differential_computes =
   [ ("gemm", fun () -> Ops.Op.compute (Ops.Matmul.gemm ~m:17 ~n:13 ~k:19 ()));
     ("maxpool",
@@ -267,7 +333,16 @@ let differential_computes =
        Ops.Op.compute
          (Ops.Pool.maxpool2d ~batch:1 ~channels:2 ~height:9 ~width:9 ~window:3
             ~stride:3 ()));
-    ("gemm+bias+relu", fun () -> gemm_bias_relu ~m:17 ~n:13 ~k:19) ]
+    ("gemm+bias+relu", fun () -> gemm_bias_relu ~m:17 ~n:13 ~k:19);
+    ("conv 1x1", conv1x1);
+    ("dwconv s2 pad1", dwconv_s2_pad);
+    ("conv unit reduce",
+     fun () ->
+       Ops.Op.compute
+         (Ops.Conv.conv2d ~batch:2 ~in_channels:1 ~out_channels:5 ~height:6
+            ~width:6 ~kernel:1 ~stride:1 ()));
+    ("window sqdiff", fun () -> window_sqdiff ~h:8 ~w:9 ~k:3);
+    ("halved gemm", fun () -> halved_gemm ~m:7 ~n:5 ~k:9) ]
 
 let prop_random_schedules_correct =
   QCheck.Test.make ~count:60
@@ -314,6 +389,31 @@ let test_non_dividing_vthread_stripe () =
   let e = Etir.with_stile e ~level:1 ~dim:0 13 in
   let e = Etir.with_vthread e ~dim:0 3 in
   check_differential ~tag:"ragged vthread: " compute e inputs expected
+
+(* ---------- Reduction walk structure ---------- *)
+
+let check_program name compute expected =
+  let summary =
+    Fmt.str "%a" Exec.Compiled.pp (Exec.Compiled.compile (Etir.create compute))
+  in
+  List.iter
+    (fun part ->
+      if not (contains summary part) then
+        Alcotest.failf "%s: %S lacks %S" name summary part)
+    expected
+
+(* The walk drops unit-extent reduce dims and computes offsets once per
+   output element; a regression to per-point offset programs, or to
+   walking the 1x1 kernel dims, shows in the program summary. *)
+let test_reduction_walk_structure () =
+  check_program "conv 1x1" (conv1x1 ())
+    [ "mac stripe kernel"; "reduce walk [c] 1/3 dims, hoisted offsets" ];
+  check_program "dwconv 3x3" (dwconv_s2_pad ())
+    [ "mac stripe kernel"; "reduce walk [rx,ry] 2/2 dims, hoisted offsets" ];
+  check_program "window sqdiff" (window_sqdiff ~h:8 ~w:9 ~k:3)
+    [ "generic stripe kernel"; "reduce walk [rx,ry] 2/2 dims, hoisted offsets" ];
+  check_program "halved gemm" (halved_gemm ~m:7 ~n:5 ~k:9)
+    [ "generic stripe kernel"; "reduce walk [k] 1/2 dims, per-point offsets" ]
 
 (* ---------- Raised verification shapes ---------- *)
 
@@ -383,6 +483,9 @@ let () =
            test_non_dividing_vthread_stripe;
          QCheck_alcotest.to_alcotest prop_random_schedules_correct;
          QCheck_alcotest.to_alcotest prop_vthread_preserves_semantics ]);
+      ("reduction walk",
+       [ Alcotest.test_case "unit dims dropped, offsets hoisted" `Quick
+           test_reduction_walk_structure ]);
       ("raised shapes",
        [ Alcotest.test_case "gemm 256^3 compiled vs reference" `Slow
            test_gemm256_compiled_matches_reference;
