@@ -483,7 +483,7 @@ let () =
            test_non_dividing_vthread_stripe;
          QCheck_alcotest.to_alcotest prop_random_schedules_correct;
          QCheck_alcotest.to_alcotest prop_vthread_preserves_semantics ]);
-      ("reduction walk",
+      ("reduce walk",
        [ Alcotest.test_case "unit dims dropped, offsets hoisted" `Quick
            test_reduction_walk_structure ]);
       ("raised shapes",
